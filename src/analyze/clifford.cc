@@ -833,7 +833,8 @@ operandUnion(const circuit::Instruction &inst)
     return all;
 }
 
-/** Structural instruction equality modulo canonical operand order. */
+} // anonymous namespace
+
 bool
 structurallyEqual(const circuit::Circuit &sc,
                   const circuit::Instruction &a,
@@ -874,6 +875,9 @@ structurallyEqual(const circuit::Circuit &sc,
                sortedQubits(a.controls) == sortedQubits(b.controls);
     }
 }
+
+namespace
+{
 
 /** True when `inst` can join an unconditioned Clifford run. */
 bool

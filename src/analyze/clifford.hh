@@ -228,6 +228,21 @@ class CliffordUnitary
 };
 
 /**
+ * Structural instruction equality modulo canonical operand order:
+ * same kind, classical condition, angle (within 1e-12) and operands,
+ * with controls compared as sets, Swap targets and the operands of
+ * the fully symmetric diagonal gates (Z, Phase) compared as sets, and
+ * dense matrices equal within 1e-12 in max norm (each read from its
+ * own program's matrix table). Equal instructions act as the same
+ * operation, so this is the one rule both the prefix-equivalence
+ * pass below and the locator's mirror-junction cancellation use.
+ */
+bool structurallyEqual(const circuit::Circuit &sc,
+                       const circuit::Instruction &a,
+                       const circuit::Circuit &rc,
+                       const circuit::Instruction &b);
+
+/**
  * Largest *certified-equivalent* boundary E: the suspect and
  * reference prefixes of length E provably act identically (up to
  * global phase), so boundary E passes every probe family.

@@ -237,12 +237,13 @@ AssertionChecker::assertProduct(const std::string &breakpoint,
 std::vector<std::pair<std::uint64_t, std::uint64_t>>
 AssertionChecker::gatherEnsemble(const AssertionSpec &spec) const
 {
-    return gatherEnsemble(spec, config.ensembleSize);
+    return gatherEnsemble(spec, config.ensembleSize, config.seed);
 }
 
 std::vector<std::pair<std::uint64_t, std::uint64_t>>
 AssertionChecker::gatherEnsemble(const AssertionSpec &spec,
-                                 std::size_t ensemble_size) const
+                                 std::size_t ensemble_size,
+                                 std::uint64_t seed) const
 {
     const bool two_vars = spec.kind == AssertionKind::Entangled ||
                           spec.kind == AssertionKind::Product;
@@ -260,7 +261,7 @@ AssertionChecker::gatherEnsemble(const AssertionSpec &spec,
     request.mode = config.mode == EnsembleMode::Resimulate
                        ? runtime::SampleMode::Resimulate
                        : runtime::SampleMode::SampleFinalState;
-    request.seed = config.seed;
+    request.seed = seed;
 
     const auto joint_values = engine->gather(request);
 
@@ -280,19 +281,27 @@ AssertionChecker::gatherEnsemble(const AssertionSpec &spec,
 AssertionOutcome
 AssertionChecker::check(const AssertionSpec &spec) const
 {
-    return checkWithSize(spec, config.ensembleSize);
+    return checkWithSize(spec, config.ensembleSize, config.seed);
 }
 
 AssertionOutcome
 AssertionChecker::check(const AssertionSpec &spec,
                         std::size_t ensemble_size) const
 {
-    return checkWithSize(spec, ensemble_size);
+    return checkWithSize(spec, ensemble_size, config.seed);
 }
 
 AssertionOutcome
 AssertionChecker::checkEscalated(const AssertionSpec &spec,
                                  const EscalationPolicy &policy) const
+{
+    return checkEscalated(spec, policy, config.seed);
+}
+
+AssertionOutcome
+AssertionChecker::checkEscalated(const AssertionSpec &spec,
+                                 const EscalationPolicy &policy,
+                                 std::uint64_t seed) const
 {
     fatal_if(policy.initialSize == 0,
              "escalation needs a positive initial ensemble size");
@@ -301,7 +310,7 @@ AssertionChecker::checkEscalated(const AssertionSpec &spec,
 
     std::size_t size = policy.initialSize;
     while (true) {
-        AssertionOutcome out = checkWithSize(spec, size);
+        AssertionOutcome out = checkWithSize(spec, size, seed);
         if (!escalationInconclusive(policy, spec.kind, spec.alpha,
                                     out.pValue) ||
             size >= policy.maxSize)
@@ -313,7 +322,8 @@ AssertionChecker::checkEscalated(const AssertionSpec &spec,
 
 AssertionOutcome
 AssertionChecker::checkWithSize(const AssertionSpec &spec,
-                                std::size_t ensemble_size) const
+                                std::size_t ensemble_size,
+                                std::uint64_t seed) const
 {
     validateSpec(spec);
     fatal_if(ensemble_size == 0, "ensemble size must be positive");
@@ -324,7 +334,7 @@ AssertionChecker::checkWithSize(const AssertionSpec &spec,
     out.ensembleSize = ensemble_size;
     out.effectiveAlpha = spec.alpha;
 
-    const auto pairs = gatherEnsemble(spec, ensemble_size);
+    const auto pairs = gatherEnsemble(spec, ensemble_size, seed);
 
     std::vector<std::uint64_t> values_a;
     values_a.reserve(pairs.size());

@@ -131,6 +131,18 @@ class AssertionChecker
                                     const EscalationPolicy &policy) const;
 
     /**
+     * As checkEscalated(spec, policy), with `seed` in place of
+     * CheckConfig::seed: the outcome is bit-identical to that of a
+     * checker whose config carries `seed`. One checker can then serve
+     * several callers that each own a seed stream — qsa::locate keys
+     * probe streams by boundary while boundaries whose probe programs
+     * coincide share one checker and its cached prefix state.
+     */
+    AssertionOutcome checkEscalated(const AssertionSpec &spec,
+                                    const EscalationPolicy &policy,
+                                    std::uint64_t seed) const;
+
+    /**
      * Check every registered assertion. The (truncation, assertion)
      * pairs fan across the runtime pool through
      * runtime::BatchRunner (the same fan-out session::Session::run
@@ -181,13 +193,14 @@ class AssertionChecker
 
     void validateSpec(const AssertionSpec &spec) const;
 
-    /** check() with an explicit ensemble size (escalation rounds). */
+    /** check() with an explicit ensemble size and seed. */
     AssertionOutcome checkWithSize(const AssertionSpec &spec,
-                                   std::size_t ensemble_size) const;
+                                   std::size_t ensemble_size,
+                                   std::uint64_t seed) const;
 
     std::vector<std::pair<std::uint64_t, std::uint64_t>>
-    gatherEnsemble(const AssertionSpec &spec,
-                   std::size_t ensemble_size) const;
+    gatherEnsemble(const AssertionSpec &spec, std::size_t ensemble_size,
+                   std::uint64_t seed) const;
 };
 
 /**

@@ -7,6 +7,7 @@
 
 #include "common/logging.hh"
 
+#include <cstdio>
 #include <cstdlib>
 #include <iostream>
 #include <mutex>
@@ -54,7 +55,14 @@ void
 fatalMessage(const std::string &msg)
 {
     emit("fatal: ", msg);
-    std::exit(1);
+    // _Exit, not exit: static teardown would join ThreadPool workers,
+    // and in a forked death-test child those threads do not exist (the
+    // child then deadlocks or crashes instead of exiting 1). The
+    // output streams are flushed by hand since _Exit skips it.
+    std::cout.flush();
+    std::cerr.flush();
+    std::fflush(nullptr);
+    std::_Exit(1);
 }
 
 void

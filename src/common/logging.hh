@@ -5,7 +5,10 @@
  * Severity model:
  *  - inform(): normal operating messages.
  *  - warn():   something questionable but survivable.
- *  - fatal():  user error (bad configuration/arguments); exits cleanly.
+ *  - fatal():  user error (bad configuration/arguments); flushes the
+ *              output streams and exits with status 1, skipping static
+ *              destructors and atexit handlers (a QSA_TRACE file is
+ *              not written).
  *  - panic():  library bug (a condition that should never happen);
  *              aborts so a debugger/core dump sees the state.
  */

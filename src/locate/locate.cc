@@ -10,6 +10,7 @@
 #include <map>
 #include <set>
 #include <sstream>
+#include <tuple>
 
 #include "analyze/clifford.hh"
 #include "assertions/checker.hh"
@@ -439,20 +440,18 @@ class MirrorProber : public Prober
     probe(std::size_t boundary,
           const assertions::EscalationPolicy &policy) override
     {
-        // One checker per probe program: escalated rounds then reuse
-        // its cached prefix statevector and only resample shots, and
-        // the boundary-keyed seed makes each round extend the earlier
-        // ensemble (sequential testing, deterministic).
-        const circuit::Circuit program = buildProbe(boundary);
-        auto cc = baseConfig(cfg);
-        cc.seed = seedFor(cfg.seed, boundary);
-        const assertions::AssertionChecker checker(program, cc);
-
+        // Boundaries whose junctions cancel to the same program share
+        // its checker and cached prefix state, and escalated rounds
+        // only resample shots. The boundary-keyed seed makes each
+        // round extend the earlier ensemble (sequential testing,
+        // deterministic).
+        const assertions::AssertionChecker &checker = checkerFor(boundary);
+        const std::uint64_t seed = seedFor(cfg.seed, boundary);
         const auto specs = specsFor(boundary, /*family_wise=*/false);
         std::vector<assertions::AssertionOutcome> outcomes;
         outcomes.reserve(specs.size());
         for (const auto &spec : specs)
-            outcomes.push_back(checker.checkEscalated(spec, policy));
+            outcomes.push_back(checker.checkEscalated(spec, policy, seed));
         return combineOutcomes(boundary, outcomes);
     }
 
@@ -475,7 +474,8 @@ class MirrorProber : public Prober
             std::vector<runtime::BatchItem> items;
             items.reserve(end - base);
             for (std::size_t i = base; i < end; ++i) {
-                programs.push_back(buildProbe(boundaries[i]));
+                programs.push_back(buildProbe(
+                    boundaries[i], junctionFor(boundaries[i])));
                 auto cc = baseConfig(cfg);
                 cc.seed = seedFor(cfg.seed, boundaries[i]);
                 const auto specs =
@@ -540,6 +540,17 @@ class MirrorProber : public Prober
     bool scanAll = false;
     mutable std::map<std::size_t, PredicateOracle> lazyOracles;
 
+    /**
+     * The checker of the last probe program, kept across probes and
+     * keyed by (junction, segment start, dual); a dual probe keeps its
+     * uncancelled program, so its junction is the boundary itself.
+     * Past static pruning a search's probes nearly all cancel to one
+     * program, which one slot covers, and one slot bounds the search
+     * at one cached prefix state, as when each probe built its own.
+     */
+    std::tuple<std::size_t, std::size_t, bool> probeKey;
+    std::unique_ptr<assertions::AssertionChecker> probeChecker;
+
     static std::uint64_t
     basisValue(const sim::StateVector &state)
     {
@@ -599,19 +610,55 @@ class MirrorProber : public Prober
         return start > prologue && start < boundary;
     }
 
-    circuit::Circuit
-    buildProbe(std::size_t boundary) const
+    /**
+     * Where the probe program at `boundary` joins the suspect prefix
+     * to the reference unwind: the cancelled junction for a plain
+     * mirror, the boundary itself for a dual probe (its pre-unwind
+     * breakpoint must see the whole suspect prefix).
+     */
+    std::size_t
+    junctionFor(std::size_t boundary) const
     {
-        circuit::Circuit probe = suspect.sliceRange(0, boundary);
+        if (dualProbe(boundary))
+            return boundary;
+        return mirrorJunction(suspect, reference, segStartFor(boundary),
+                              boundary);
+    }
+
+    /** The checker for the probe program at `boundary`. */
+    const assertions::AssertionChecker &
+    checkerFor(std::size_t boundary)
+    {
+        const std::size_t cut = junctionFor(boundary);
+        const auto key = std::make_tuple(cut, segStartFor(boundary),
+                                         dualProbe(boundary));
+        if (probeChecker == nullptr || key != probeKey) {
+            probeChecker.reset(); // drop the old prefix state first
+            probeChecker = std::make_unique<assertions::AssertionChecker>(
+                buildProbe(boundary, cut), baseConfig(cfg));
+            probeKey = key;
+        }
+        return *probeChecker;
+    }
+
+    /**
+     * The probe program suspect[0, cut) + adjoint(reference[start,
+     * cut)) for a plain mirror, or the uncancelled dual program
+     * (cut == boundary, breakpoint before the unwind).
+     */
+    circuit::Circuit
+    buildProbe(std::size_t boundary, std::size_t cut) const
+    {
+        circuit::Circuit probe = suspect.sliceRange(0, cut);
         if (dualProbe(boundary))
             probe.breakpoint(kProbePreLabel);
         const std::size_t start = segStartFor(boundary);
-        if (boundary > start) {
+        if (cut > start) {
             // The segment is measure-free by construction, so a
             // conditioned gate's record cannot change inside it and
             // conditioned inversion is exact.
-            const circuit::Circuit seg = stripMarkers(
-                reference.sliceRange(start, boundary));
+            const circuit::Circuit seg =
+                stripMarkers(reference.sliceRange(start, cut));
             probe.appendCircuit(
                 seg.inverse(/*invert_conditioned=*/true));
         }
@@ -1440,6 +1487,22 @@ phaseAmbiguousVerdict(const LocalizationReport &report,
 }
 
 } // anonymous namespace
+
+std::size_t
+mirrorJunction(const circuit::Circuit &suspect,
+               const circuit::Circuit &reference, std::size_t start,
+               std::size_t boundary)
+{
+    const auto &si = suspect.instructions();
+    const auto &ri = reference.instructions();
+    std::size_t cut = boundary;
+    while (cut > start &&
+           circuit::gateKindInvertible(si[cut - 1].kind) &&
+           analyze::structurallyEqual(suspect, si[cut - 1], reference,
+                                      ri[cut - 1]))
+        --cut;
+    return cut;
+}
 
 std::string
 probeFamilyName(ProbeFamily family)

@@ -75,6 +75,33 @@ extendDeterministicHead(const circuit::Circuit &circ,
 }
 
 /**
+ * True when simulating `circ` from |0...0> consumes no
+ * outcome-relevant randomness, so its final state is the same under
+ * every seed: no measurement, no classically conditioned instruction,
+ * and resets only on qubits no earlier instruction touched (such a
+ * qubit is still |0>, so the reset's implicit measurement is
+ * certain).
+ */
+bool
+seedFree(const circuit::Circuit &circ)
+{
+    std::vector<char> touched(circ.numQubits(), 0);
+    for (const circuit::Instruction &inst : circ.instructions()) {
+        if (inst.kind == circuit::GateKind::Measure ||
+            !inst.condLabel.empty())
+            return false;
+        if (inst.kind == circuit::GateKind::PrepZ &&
+            touched[inst.targets[0]])
+            return false;
+        for (unsigned q : inst.targets)
+            touched[q] = 1;
+        for (unsigned q : inst.controls)
+            touched[q] = 1;
+    }
+    return true;
+}
+
+/**
  * Scan a truncated circuit for the tensor-split shape: a maximal
  * leading run touching only qubits < split, then a maximal run
  * touching only qubits >= split, then the combining remainder.
@@ -199,7 +226,7 @@ EnsembleEngine::pool()
     return *poolPtr;
 }
 
-std::shared_ptr<const circuit::Circuit>
+EnsembleEngine::Prefix
 EnsembleEngine::prefix(const std::string &breakpoint)
 {
     {
@@ -222,7 +249,9 @@ EnsembleEngine::prefix(const std::string &breakpoint)
     circuit::FusionStats fusion;
     if (options.fuseGates)
         sliced = circuit::fuseGates(sliced, &fusion);
-    auto built =
+    Prefix built;
+    built.seedFree = seedFree(sliced);
+    built.circuit =
         std::make_shared<const circuit::Circuit>(std::move(sliced));
     std::lock_guard<std::mutex> lock(cacheMutex);
     const auto [it, inserted] =
@@ -250,8 +279,8 @@ EnsembleEngine::tensorStages(const std::string &breakpoint)
         if (it != stagesCache.end())
             return it->second;
     }
-    auto sliced = prefix(breakpoint);
-    auto built = buildTensorStages(*sliced, options.tensorSplit);
+    auto built = buildTensorStages(*prefix(breakpoint).circuit,
+                                   options.tensorSplit);
     std::lock_guard<std::mutex> lock(cacheMutex);
     const auto [it, inserted] =
         stagesCache.emplace(breakpoint, std::move(built));
@@ -262,9 +291,9 @@ EnsembleEngine::tensorStages(const std::string &breakpoint)
 
 std::shared_ptr<const circuit::ExecutionRecord>
 EnsembleEngine::prefixState(const std::string &breakpoint,
+                            const circuit::Circuit &sliced,
                             std::uint64_t seed)
 {
-    auto sliced = prefix(breakpoint);
     const auto key = std::make_pair(breakpoint, seed);
 
     // Find-or-claim under the lock, simulate outside it: concurrent
@@ -319,7 +348,7 @@ EnsembleEngine::prefixState(const std::string &breakpoint,
             } else {
                 promise.set_value(
                     std::make_shared<circuit::ExecutionRecord>(
-                        circuit::runCircuit(*sliced, rng)));
+                        circuit::runCircuit(sliced, rng)));
             }
         } catch (...) {
             // Library errors fatal/panic rather than throw, but e.g.
@@ -356,7 +385,7 @@ EnsembleEngine::resimPlan(const std::string &breakpoint)
     }
     // Build outside the lock (one head simulation); racers may build
     // twice but the builds are identical and the first insertion wins.
-    auto sliced = prefix(breakpoint);
+    const auto sliced = prefix(breakpoint).circuit;
     auto stages = tensorStages(breakpoint);
 
     std::shared_ptr<ResimPlan> plan;
@@ -406,8 +435,11 @@ EnsembleEngine::resimPlan(const std::string &breakpoint)
 std::shared_ptr<const CdfSampler>
 EnsembleEngine::shotSampler(const EnsembleSpec &spec)
 {
-    const auto key =
-        std::make_tuple(spec.breakpoint, spec.seed, spec.qubits);
+    // A seed-free prefix state (and so its marginal) is shared by
+    // every seed; it is keyed and simulated under seed 0.
+    const Prefix sliced = prefix(spec.breakpoint);
+    const std::uint64_t seed = sliced.seedFree ? 0 : spec.seed;
+    const auto key = std::make_tuple(spec.breakpoint, seed, spec.qubits);
     {
         std::lock_guard<std::mutex> lock(cacheMutex);
         auto it = samplerCache.find(key);
@@ -418,7 +450,7 @@ EnsembleEngine::shotSampler(const EnsembleSpec &spec)
     }
     // Build outside the lock; racers may build twice but the builds
     // are identical and the first insertion wins.
-    auto record = prefixState(spec.breakpoint, spec.seed);
+    auto record = prefixState(spec.breakpoint, *sliced.circuit, seed);
     auto built = std::make_shared<const CdfSampler>(
         record->state.marginalProbs(spec.qubits));
     std::lock_guard<std::mutex> lock(cacheMutex);

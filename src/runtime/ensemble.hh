@@ -18,11 +18,18 @@
  *    trial-ordered buffer (and per-shard histograms are merged in
  *    shard order), so the merge is deterministic by construction;
  *  - in SampleFinalState mode the truncated circuit is simulated ONCE,
- *    the final state is cached per (breakpoint, seed), and the N shots
- *    are multinomial-sampled from the exact outcome distribution via
- *    inverse-CDF binary search — re-running the circuit per shot is
- *    reserved for Resimulate mode, which stays exact for programs with
- *    mid-circuit measurement;
+ *    the final state is cached, and the N shots are multinomial-sampled
+ *    from the exact outcome distribution via inverse-CDF binary search
+ *    — re-running the circuit per shot is reserved for Resimulate mode,
+ *    which stays exact for programs with mid-circuit measurement. The
+ *    cache key is (breakpoint, seed) in general, but the breakpoint
+ *    alone when the truncated prefix is *seed-free* — no measurement,
+ *    no classically conditioned instruction, and resets only on
+ *    qubits no earlier instruction touched — because such a prefix
+ *    ends in the same state under every seed. Gathers of one
+ *    breakpoint under many seeds (escalation rounds, qsa::locate
+ *    probes that share a probe program) then simulate it once and
+ *    reuse its shot sampler;
  *  - in Resimulate mode the truncated circuit's *deterministic head*
  *    — the longest prefix containing no measurement, no conditional
  *    instruction, and only resets whose outcome is certain — is
@@ -42,8 +49,11 @@
  *    (up to reset outcomes whose probability is below the ~1e-12
  *    determinism tolerance).
  *  - SampleFinalState: the single prefix execution uses
- *    Rng(seed).split(0); shot m draws its uniform from
- *    Rng(seed).split(m + 1).
+ *    Rng(seed).split(0) — Rng(0).split(0) for a seed-free prefix, whose
+ *    execution draws nothing outcome-relevant — and shot m draws its
+ *    uniform from Rng(seed).split(m + 1) under the request's own seed.
+ *    Only the prefix state is shared across seeds, so each seed's shots
+ *    are bit-identical to those of an engine that saw no other seed.
  */
 
 #ifndef QSA_RUNTIME_ENSEMBLE_HH
@@ -266,9 +276,19 @@ class EnsembleEngine
 
     std::mutex cacheMutex;
 
+    /** A truncated circuit and whether its simulation is seed-free. */
+    struct Prefix
+    {
+        std::shared_ptr<const circuit::Circuit> circuit;
+
+        /** No measurement, no conditioned instruction, resets only on
+         *  untouched qubits: the final state is the same under every
+         *  seed (see the file comment). */
+        bool seedFree = false;
+    };
+
     /** Truncated circuits keyed by breakpoint label. */
-    std::map<std::string, std::shared_ptr<const circuit::Circuit>>
-        prefixCache;
+    std::map<std::string, Prefix> prefixCache;
 
     /**
      * Resimulate-mode head/tail splits keyed by breakpoint label.
@@ -293,7 +313,10 @@ class EnsembleEngine
         std::uint64_t claim = 0;
     };
 
-    /** Prefix execution records keyed by (breakpoint, seed). */
+    /**
+     * Prefix execution records keyed by (breakpoint, seed), with seed
+     * 0 standing for every seed when the prefix is seed-free.
+     */
     std::map<std::pair<std::string, std::uint64_t>, PrefixClaim>
         stateCache;
 
@@ -301,7 +324,8 @@ class EnsembleEngine
     std::uint64_t nextClaim = 0;
 
     /**
-     * Built CdfSamplers keyed by (breakpoint, seed, qubits): repeated
+     * Built CdfSamplers keyed by (breakpoint, seed, qubits), the seed
+     * read as in stateCache: repeated
      * gathers of the same request skip the O(2^n) marginalisation and
      * CDF build, not just the prefix simulation.
      */
@@ -317,14 +341,15 @@ class EnsembleEngine
     std::map<std::string, std::shared_ptr<const TensorStages>>
         stagesCache;
 
-    std::shared_ptr<const circuit::Circuit>
-    prefix(const std::string &breakpoint);
+    Prefix prefix(const std::string &breakpoint);
 
     std::shared_ptr<const TensorStages>
     tensorStages(const std::string &breakpoint);
 
+    /** The cached prefix execution under a stateCache key seed. */
     std::shared_ptr<const circuit::ExecutionRecord>
-    prefixState(const std::string &breakpoint, std::uint64_t seed);
+    prefixState(const std::string &breakpoint,
+                const circuit::Circuit &sliced, std::uint64_t seed);
 
     std::shared_ptr<const ResimPlan>
     resimPlan(const std::string &breakpoint);

@@ -7,6 +7,11 @@
 #include <atomic>
 #include <cerrno>
 #include <cstring>
+#include <mutex>
+
+#ifdef __GLIBC__
+#include <malloc.h>
+#endif
 
 #include "common/json.hh"
 #include "obs/obs.hh"
@@ -16,6 +21,22 @@ namespace qsa::serve
 
 namespace
 {
+
+/**
+ * Pin glibc's heap trim threshold for the life of the process. The
+ * default threshold is dynamic: it grows to the largest block freed
+ * so far, so after enough requests the memory each one frees stays in
+ * the malloc arenas and resident size creeps with requests served. A
+ * fixed threshold hands freed request memory back to the system.
+ */
+void
+pinHeapTrimThreshold()
+{
+#ifdef __GLIBC__
+    static std::once_flag once;
+    std::call_once(once, [] { mallopt(M_TRIM_THRESHOLD, 128 * 1024); });
+#endif
+}
 
 /** Reject lines longer than this without a newline (memory bound). */
 constexpr std::size_t kMaxLineBytes = 1 << 20;
@@ -120,6 +141,8 @@ Server::start(std::string *error)
         listenFd = -1;
         return false;
     }
+
+    pinHeapTrimThreshold();
 
     unsigned workers = config.workers;
     if (workers == 0) {

@@ -309,6 +309,103 @@ TEST(EnsembleEngine, ZeroShotsYieldsEmpty)
     EXPECT_TRUE(engine.gatherHistogram(spec).empty());
 }
 
+// --- Seed-free prefix-state key -------------------------------------------
+
+#if QSA_OBS_ENABLED
+
+/** A counter's value in the current registry snapshot (0 if unseen). */
+std::int64_t
+counterValue(const std::string &name)
+{
+    for (const auto &[key, value] : obs::Registry::snapshot())
+        if (key == name)
+            return value;
+    return 0;
+}
+
+/**
+ * The documented SampleFinalState layout, computed without the
+ * engine: the prefix executes under Rng(seed).split(0) and shot m
+ * draws its uniform from Rng(seed).split(m + 1) — the shots every
+ * seed gave when the prefix state was cached per (breakpoint, seed).
+ */
+std::vector<std::uint64_t>
+perSeedShots(const circuit::Circuit &program,
+             const runtime::EnsembleSpec &spec)
+{
+    Rng rng = Rng(spec.seed).split(0);
+    const auto record =
+        circuit::runCircuit(program.prefixUpTo(spec.breakpoint), rng);
+    const runtime::CdfSampler sampler(
+        record.state.marginalProbs(spec.qubits));
+    std::vector<std::uint64_t> shots;
+    for (std::size_t m = 0; m < spec.shots; ++m)
+        shots.push_back(
+            sampler.sample(Rng(spec.seed).split(m + 1).uniform()));
+    return shots;
+}
+
+runtime::EnsembleSpec
+sampleSpec(const std::string &breakpoint, std::vector<unsigned> qubits,
+           std::uint64_t seed)
+{
+    runtime::EnsembleSpec spec;
+    spec.breakpoint = breakpoint;
+    spec.qubits = std::move(qubits);
+    spec.shots = 400;
+    spec.mode = runtime::SampleMode::SampleFinalState;
+    spec.seed = seed;
+    return spec;
+}
+
+TEST(EnsembleEngine, SeedFreePrefixSimulatesOnceAcrossSeeds)
+{
+    // Measurement-free, with a reset on a qubit nothing touched yet
+    // (its outcome is certain), so the prefix state is seed-free.
+    circuit::Circuit program(3);
+    program.prepZ(2, 0);
+    program.h(0);
+    program.ry(1, 0.7);
+    program.cnot(0, 2);
+    program.t(2);
+    program.cz(1, 2);
+    program.h(2);
+    program.breakpoint("end");
+
+    obs::Registry::reset();
+    runtime::EnsembleEngine engine(program, 2, {/*fuseGates=*/false});
+    for (std::uint64_t seed : {11u, 22u, 33u}) {
+        const auto spec = sampleSpec("end", {0, 1, 2}, seed);
+        EXPECT_EQ(engine.gather(spec), perSeedShots(program, spec))
+            << "seed " << seed;
+    }
+    EXPECT_EQ(counterValue("runtime.state_cache.misses"), 1);
+    EXPECT_EQ(counterValue("runtime.sampler_cache.misses"), 1);
+}
+
+TEST(EnsembleEngine, MeasuredPrefixSimulatesOncePerSeed)
+{
+    // A mid-circuit measurement makes the prefix state depend on the
+    // seed's outcome draw: one simulation per seed, none shared.
+    circuit::Circuit program(2);
+    program.h(0);
+    program.measureQubits({0}, "m0");
+    program.h(1);
+    program.cnot(1, 0);
+    program.breakpoint("end");
+
+    obs::Registry::reset();
+    runtime::EnsembleEngine engine(program, 2, {/*fuseGates=*/false});
+    for (std::uint64_t seed : {11u, 22u, 33u}) {
+        const auto spec = sampleSpec("end", {0, 1}, seed);
+        EXPECT_EQ(engine.gather(spec), perSeedShots(program, spec))
+            << "seed " << seed;
+    }
+    EXPECT_EQ(counterValue("runtime.state_cache.misses"), 3);
+}
+
+#endif // QSA_OBS_ENABLED
+
 // --- Checker-level invariance ---------------------------------------------
 
 TEST(CheckerRuntime, OutcomesInvariantUnderThreadCount)
