@@ -48,6 +48,20 @@ AssertionChecker::AssertionChecker(const circuit::Circuit &prog,
 AssertionChecker::~AssertionChecker() = default;
 
 void
+AssertionChecker::reconfigure(const CheckConfig &next)
+{
+    panic_if(next.numThreads != config.numThreads ||
+                 next.fuseGates != config.fuseGates ||
+                 next.tensorSplit != config.tensorSplit,
+             "reconfigure cannot change the engine's threads, fusion or "
+             "tensor split; build a new checker");
+    fatal_if(next.ensembleSize == 0, "ensemble size must be positive");
+    if (next.seed != config.seed)
+        engine->evictSeeded();
+    config = next;
+}
+
+void
 AssertionChecker::clearRuntimeCache()
 {
     engine->clearCache();

@@ -159,6 +159,21 @@ class AssertionChecker
     void setHolmBonferroni(bool enabled) { config.holmBonferroni = enabled; }
 
     /**
+     * Move later checks to `next` while keeping the engine, its pools
+     * and its caches: every outcome afterwards is bit-identical to
+     * that of a fresh checker built with `next`. On a seed change the
+     * engine drops the prefix states and samplers that were simulated
+     * under the old seed (runtime::EnsembleEngine::evictSeeded);
+     * seed-free states, truncated circuits and Resimulate heads stay,
+     * so re-checking a measurement-free plan under a new seed
+     * simulates nothing. The fields that shape the engine
+     * (numThreads, fuseGates, tensorSplit) must not change — build a
+     * new checker for those (panics otherwise). Not safe to call
+     * while a check is running.
+     */
+    void reconfigure(const CheckConfig &next);
+
+    /**
      * Drop the runtime's cached truncated circuits and prefix states
      * (a full statevector per checked breakpoint in SampleFinalState
      * mode) — the relief valve for long-lived sessions sweeping many

@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 
 #include "circuit/fusion.hh"
 #include "common/logging.hh"
@@ -226,46 +227,79 @@ EnsembleEngine::pool()
     return *poolPtr;
 }
 
+template <class Map, class Key, class Build>
+typename Map::mapped_type::Value
+EnsembleEngine::findOrBuild(Map &cache, const Key &key, Build &&build,
+                            bool &built)
+{
+    using Value = typename Map::mapped_type::Value;
+    // Find-or-claim under the lock, build outside it. The promise is
+    // made only on a miss, so a hit costs a lookup and two reference
+    // counts.
+    std::shared_future<Value> future;
+    std::optional<std::promise<Value>> promise;
+    std::uint64_t claim = 0;
+    {
+        std::lock_guard<std::mutex> lock(cacheMutex);
+        auto it = cache.find(key);
+        if (it != cache.end()) {
+            future = it->second.future;
+        } else {
+            promise.emplace();
+            future = promise->get_future().share();
+            claim = ++nextClaim;
+            cache.emplace(typename Map::key_type(key),
+                          typename Map::mapped_type{future, claim});
+        }
+    }
+    built = promise.has_value();
+    if (built) {
+        try {
+            promise->set_value(build());
+        } catch (...) {
+            // Library errors fatal/panic rather than throw, but e.g.
+            // bad_alloc can still unwind here: hand racers the
+            // exception and drop the entry so later calls retry
+            // instead of hitting a broken promise forever. Evict only
+            // our own entry — a clearCache() plus re-claim may have
+            // installed a successor under the same key.
+            promise->set_exception(std::current_exception());
+            std::lock_guard<std::mutex> lock(cacheMutex);
+            auto it = cache.find(key);
+            if (it != cache.end() && it->second.claim == claim)
+                cache.erase(it);
+            throw;
+        }
+    }
+    return future.get();
+}
+
 EnsembleEngine::Prefix
 EnsembleEngine::prefix(const std::string &breakpoint)
 {
-    {
-        std::lock_guard<std::mutex> lock(cacheMutex);
-        auto it = prefixCache.find(breakpoint);
-        if (it != prefixCache.end()) {
-            QSA_OBS_COUNTER("runtime.prefix_cache.hits", 1);
-            return it->second;
+    // Fusing here means every downstream consumer — prefix
+    // simulations, resimulation heads and tails, samplers — sees the
+    // fused program, so the fused circuits slot into the prefix/head
+    // caches by construction.
+    bool built = false;
+    Prefix out = findOrBuild(prefixCache, breakpoint, [&] {
+        circuit::Circuit sliced = program->prefixUpTo(breakpoint);
+        if (options.fuseGates) {
+            circuit::FusionStats fusion;
+            sliced = circuit::fuseGates(sliced, &fusion);
+            QSA_OBS_COUNTER("sim.fused_gates", fusion.fusedGates);
         }
-    }
-    // Slice (and fuse) outside the lock — an O(#gates) circuit copy;
-    // racers may slice twice but the copies are identical and the
-    // first insertion wins. A losing racer counts as a hit so the
-    // miss total stays deterministic (misses == distinct
-    // breakpoints). Fusing here means every downstream consumer —
-    // prefix simulations, resimulation heads and tails, samplers —
-    // sees the fused program, so the fused circuits slot into the
-    // prefix/head caches by construction.
-    circuit::Circuit sliced = program->prefixUpTo(breakpoint);
-    circuit::FusionStats fusion;
-    if (options.fuseGates)
-        sliced = circuit::fuseGates(sliced, &fusion);
-    Prefix built;
-    built.seedFree = seedFree(sliced);
-    built.circuit =
-        std::make_shared<const circuit::Circuit>(std::move(sliced));
-    std::lock_guard<std::mutex> lock(cacheMutex);
-    const auto [it, inserted] =
-        prefixCache.emplace(breakpoint, std::move(built));
-    if (inserted) {
+        Prefix p;
+        p.seedFree = seedFree(sliced);
+        p.circuit =
+            std::make_shared<const circuit::Circuit>(std::move(sliced));
+        return p;
+    }, built);
+    if (built)
         QSA_OBS_COUNTER("runtime.prefix_cache.misses", 1);
-        // Counted on the winning insertion only, so the fusion total
-        // is deterministic (racing rebuilds fuse identically but must
-        // not double-count).
-        QSA_OBS_COUNTER("sim.fused_gates", fusion.fusedGates);
-    } else {
+    else
         QSA_OBS_COUNTER("runtime.prefix_cache.hits", 1);
-    }
-    return it->second;
+    return out;
 }
 
 std::shared_ptr<const TensorStages>
@@ -273,20 +307,14 @@ EnsembleEngine::tensorStages(const std::string &breakpoint)
 {
     if (options.tensorSplit == 0)
         return nullptr;
-    {
-        std::lock_guard<std::mutex> lock(cacheMutex);
-        auto it = stagesCache.find(breakpoint);
-        if (it != stagesCache.end())
-            return it->second;
-    }
-    auto built = buildTensorStages(*prefix(breakpoint).circuit,
-                                   options.tensorSplit);
-    std::lock_guard<std::mutex> lock(cacheMutex);
-    const auto [it, inserted] =
-        stagesCache.emplace(breakpoint, std::move(built));
-    if (inserted && it->second != nullptr)
-        QSA_OBS_COUNTER("runtime.tensor_stages.built", 1);
-    return it->second;
+    bool built = false;
+    return findOrBuild(stagesCache, breakpoint, [&] {
+        auto stages = buildTensorStages(*prefix(breakpoint).circuit,
+                                        options.tensorSplit);
+        if (stages != nullptr)
+            QSA_OBS_COUNTER("runtime.tensor_stages.built", 1);
+        return stages;
+    }, built);
 }
 
 std::shared_ptr<const circuit::ExecutionRecord>
@@ -294,142 +322,86 @@ EnsembleEngine::prefixState(const std::string &breakpoint,
                             const circuit::Circuit &sliced,
                             std::uint64_t seed)
 {
-    const auto key = std::make_pair(breakpoint, seed);
-
-    // Find-or-claim under the lock, simulate outside it: concurrent
-    // gathers at distinct breakpoints run their prefix simulations in
-    // parallel; racers on the same key wait on the winner's future.
-    std::promise<std::shared_ptr<const circuit::ExecutionRecord>>
-        promise;
-    std::shared_future<std::shared_ptr<const circuit::ExecutionRecord>>
-        future;
-    bool claimed = false;
-    std::uint64_t claim_id = 0;
-    {
-        std::lock_guard<std::mutex> lock(cacheMutex);
-        auto it = stateCache.find(key);
-        if (it == stateCache.end()) {
-            future = promise.get_future().share();
-            claim_id = ++nextClaim;
-            stateCache.emplace(key, PrefixClaim{future, claim_id});
-            claimed = true;
-        } else {
-            future = it->second.future;
-        }
-    }
-    if (claimed)
-        QSA_OBS_COUNTER("runtime.state_cache.misses", 1);
-    else
-        QSA_OBS_COUNTER("runtime.state_cache.hits", 1);
-    if (claimed) {
+    bool built = false;
+    auto record = findOrBuild(stateCache, std::tie(breakpoint, seed), [&] {
         // The one prefix execution of SampleFinalState mode; stream
         // split(0) per the layout in the file comment. When the
         // prefix tensor-splits, the halves simulate on their small
         // spaces (same instruction and draw order as a monolithic
         // run) and combine only for the tail.
-        try {
-            auto stages = tensorStages(breakpoint);
-            Rng rng = Rng(seed).split(0);
-            if (stages != nullptr) {
-                auto record =
-                    std::make_shared<circuit::ExecutionRecord>(
-                        program->numQubits());
-                sim::StateVector low_state(stages->split);
-                sim::StateVector high_state(program->numQubits() -
-                                            stages->split);
-                circuit::runCircuitOn(stages->low, low_state,
-                                      record->measurements, rng);
-                circuit::runCircuitOn(stages->high, high_state,
-                                      record->measurements, rng);
-                record->state = low_state.tensorWith(high_state);
-                circuit::runCircuitOn(stages->combo, record->state,
-                                      record->measurements, rng);
-                promise.set_value(std::move(record));
-            } else {
-                promise.set_value(
-                    std::make_shared<circuit::ExecutionRecord>(
-                        circuit::runCircuit(sliced, rng)));
-            }
-        } catch (...) {
-            // Library errors fatal/panic rather than throw, but e.g.
-            // bad_alloc can still unwind here: hand racers the
-            // exception and drop the entry so later calls retry
-            // instead of hitting a broken promise forever.
-            promise.set_exception(std::current_exception());
-            {
-                // Evict only our own entry — a clearCache() plus
-                // re-claim may have installed a successor's live
-                // future under the same key.
-                std::lock_guard<std::mutex> lock(cacheMutex);
-                auto it = stateCache.find(key);
-                if (it != stateCache.end() &&
-                    it->second.claim == claim_id)
-                    stateCache.erase(it);
-            }
-            throw;
-        }
-    }
-    return future.get();
+        auto stages = tensorStages(breakpoint);
+        Rng rng = Rng(seed).split(0);
+        if (stages == nullptr)
+            return std::make_shared<const circuit::ExecutionRecord>(
+                circuit::runCircuit(sliced, rng));
+        auto staged = std::make_shared<circuit::ExecutionRecord>(
+            program->numQubits());
+        sim::StateVector low_state(stages->split);
+        sim::StateVector high_state(program->numQubits() -
+                                    stages->split);
+        circuit::runCircuitOn(stages->low, low_state,
+                              staged->measurements, rng);
+        circuit::runCircuitOn(stages->high, high_state,
+                              staged->measurements, rng);
+        staged->state = low_state.tensorWith(high_state);
+        circuit::runCircuitOn(stages->combo, staged->state,
+                              staged->measurements, rng);
+        return std::shared_ptr<const circuit::ExecutionRecord>(
+            std::move(staged));
+    }, built);
+    if (built)
+        QSA_OBS_COUNTER("runtime.state_cache.misses", 1);
+    else
+        QSA_OBS_COUNTER("runtime.state_cache.hits", 1);
+    return record;
 }
 
 std::shared_ptr<const ResimPlan>
 EnsembleEngine::resimPlan(const std::string &breakpoint)
 {
-    {
-        std::lock_guard<std::mutex> lock(cacheMutex);
-        auto it = resimCache.find(breakpoint);
-        if (it != resimCache.end()) {
-            QSA_OBS_COUNTER("runtime.head_cache.hits", 1);
-            return it->second;
+    bool built = false;
+    auto plan = findOrBuild(resimCache, breakpoint, [&] {
+        const auto sliced = prefix(breakpoint).circuit;
+        auto stages = tensorStages(breakpoint);
+        if (stages != nullptr) {
+            // Staged: per-half deterministic heads on the small
+            // spaces; trials copy the half states, run the half tails,
+            // and tensor only for the combining tail. The monolithic
+            // head is a 1-qubit placeholder so a cached plan never
+            // pins a full-size state it will not use.
+            auto staged = std::make_shared<ResimStages>(
+                stages->split, program->numQubits() - stages->split);
+            staged->layout = stages;
+            const std::size_t low_head = extendDeterministicHead(
+                stages->low, staged->lowHead, staged->lowDraws);
+            staged->lowTail =
+                stages->low.sliceRange(low_head, stages->low.size());
+            const std::size_t high_head = extendDeterministicHead(
+                stages->high, staged->highHead, staged->highDraws);
+            staged->highTail = stages->high.sliceRange(
+                high_head, stages->high.size());
+            auto placeholder = std::make_shared<ResimPlan>(1);
+            placeholder->stages = std::move(staged);
+            return std::shared_ptr<const ResimPlan>(
+                std::move(placeholder));
         }
-    }
-    // Build outside the lock (one head simulation); racers may build
-    // twice but the builds are identical and the first insertion wins.
-    const auto sliced = prefix(breakpoint).circuit;
-    auto stages = tensorStages(breakpoint);
-
-    std::shared_ptr<ResimPlan> plan;
-    if (stages != nullptr) {
-        // Staged: per-half deterministic heads on the small spaces;
-        // trials copy the half states, run the half tails, and tensor
-        // only for the combining tail. The monolithic head is a
-        // 1-qubit placeholder so a cached plan never pins a full-size
-        // state it will not use.
-        auto staged = std::make_shared<ResimStages>(
-            stages->split, program->numQubits() - stages->split);
-        staged->layout = stages;
-        const std::size_t low_head = extendDeterministicHead(
-            stages->low, staged->lowHead, staged->lowDraws);
-        staged->lowTail =
-            stages->low.sliceRange(low_head, stages->low.size());
-        const std::size_t high_head = extendDeterministicHead(
-            stages->high, staged->highHead, staged->highDraws);
-        staged->highTail =
-            stages->high.sliceRange(high_head, stages->high.size());
-        plan = std::make_shared<ResimPlan>(1);
-        plan->stages = std::move(staged);
-    } else {
-        plan = std::make_shared<ResimPlan>(program->numQubits());
-
         // Extend the head while instructions are deterministic:
         // unitary gates and markers always; resets only when the
         // current state fixes their implicit measurement outcome;
         // stop at the first Measure or classically-conditioned
         // instruction (there is no record to condition on yet — a
         // valid program measures first).
+        auto full = std::make_shared<ResimPlan>(program->numQubits());
         const std::size_t head = extendDeterministicHead(
-            *sliced, plan->headState, plan->headDraws);
-        plan->tail = sliced->sliceRange(head, sliced->size());
-    }
-
-    std::lock_guard<std::mutex> lock(cacheMutex);
-    const auto [it, inserted] =
-        resimCache.emplace(breakpoint, std::move(plan));
-    if (inserted)
+            *sliced, full->headState, full->headDraws);
+        full->tail = sliced->sliceRange(head, sliced->size());
+        return std::shared_ptr<const ResimPlan>(std::move(full));
+    }, built);
+    if (built)
         QSA_OBS_COUNTER("runtime.head_cache.misses", 1);
     else
         QSA_OBS_COUNTER("runtime.head_cache.hits", 1);
-    return it->second;
+    return plan;
 }
 
 std::shared_ptr<const CdfSampler>
@@ -439,28 +411,19 @@ EnsembleEngine::shotSampler(const EnsembleSpec &spec)
     // every seed; it is keyed and simulated under seed 0.
     const Prefix sliced = prefix(spec.breakpoint);
     const std::uint64_t seed = sliced.seedFree ? 0 : spec.seed;
-    const auto key = std::make_tuple(spec.breakpoint, seed, spec.qubits);
-    {
-        std::lock_guard<std::mutex> lock(cacheMutex);
-        auto it = samplerCache.find(key);
-        if (it != samplerCache.end()) {
-            QSA_OBS_COUNTER("runtime.sampler_cache.hits", 1);
-            return it->second;
-        }
-    }
-    // Build outside the lock; racers may build twice but the builds
-    // are identical and the first insertion wins.
-    auto record = prefixState(spec.breakpoint, *sliced.circuit, seed);
-    auto built = std::make_shared<const CdfSampler>(
-        record->state.marginalProbs(spec.qubits));
-    std::lock_guard<std::mutex> lock(cacheMutex);
-    const auto [it, inserted] =
-        samplerCache.emplace(key, std::move(built));
-    if (inserted)
+    bool built = false;
+    auto sampler = findOrBuild(
+        samplerCache, std::tie(spec.breakpoint, seed, spec.qubits), [&] {
+            auto record =
+                prefixState(spec.breakpoint, *sliced.circuit, seed);
+            return std::make_shared<const CdfSampler>(
+                record->state.marginalProbs(spec.qubits));
+        }, built);
+    if (built)
         QSA_OBS_COUNTER("runtime.sampler_cache.misses", 1);
     else
         QSA_OBS_COUNTER("runtime.sampler_cache.hits", 1);
-    return it->second;
+    return sampler;
 }
 
 void
@@ -472,6 +435,25 @@ EnsembleEngine::clearCache()
     stateCache.clear();
     samplerCache.clear();
     stagesCache.clear();
+}
+
+void
+EnsembleEngine::evictSeeded()
+{
+    std::lock_guard<std::mutex> lock(cacheMutex);
+    // Every state and sampler entry was built after its prefix, so
+    // the prefix entry is there and (no gather being in flight) done.
+    const auto keep = [&](const std::string &breakpoint) {
+        const auto it = prefixCache.find(breakpoint);
+        return it != prefixCache.end() &&
+               it->second.future.get().seedFree;
+    };
+    for (auto it = stateCache.begin(); it != stateCache.end();)
+        it = keep(std::get<0>(it->first)) ? std::next(it)
+                                          : stateCache.erase(it);
+    for (auto it = samplerCache.begin(); it != samplerCache.end();)
+        it = keep(std::get<0>(it->first)) ? std::next(it)
+                                          : samplerCache.erase(it);
 }
 
 void

@@ -28,8 +28,10 @@
  *    qubits no earlier instruction touched — because such a prefix
  *    ends in the same state under every seed. Gathers of one
  *    breakpoint under many seeds (escalation rounds, qsa::locate
- *    probes that share a probe program) then simulate it once and
- *    reuse its shot sampler;
+ *    probes that share a probe program, a session re-run under a new
+ *    seed) then simulate it once and reuse its shot sampler.
+ *    evictSeeded() drops only the entries of prefixes that are not
+ *    seed-free, so an engine moved to a new seed keeps the rest;
  *  - in Resimulate mode the truncated circuit's *deterministic head*
  *    — the longest prefix containing no measurement, no conditional
  *    instruction, and only resets whose outcome is certain — is
@@ -38,7 +40,10 @@
  *    For the paper's measurement-free benchmarks the whole truncated
  *    program is head, collapsing a Resimulate ensemble's cost to one
  *    simulation plus N state copies; for semiclassical programs the
- *    per-trial cost is the region from the first measurement on.
+ *    per-trial cost is the region from the first measurement on;
+ *  - every cache entry is built once: racers on one key wait for the
+ *    first caller's build, so work counters (sim.*, cache hits and
+ *    misses) are the same at any thread count.
  *
  * RNG stream layout (fixed; part of the reproducibility contract):
  *  - Resimulate: trial m uses Rng(seed).split(m) for both gate-level
@@ -261,6 +266,18 @@ class EnsembleEngine
     void clearCache();
 
     /**
+     * Drop the SampleFinalState prefix states and shot samplers of
+     * prefixes that are not seed-free: each is keyed by the one seed
+     * it was simulated under. Seed-free states and samplers stay, and
+     * so do truncated circuits, tensor stages and Resimulate heads. A
+     * caller that moves every later gather to a new seed
+     * (AssertionChecker::reconfigure) calls this, so the engine holds
+     * one seed's entries at a time. Not to be called while a gather
+     * is in flight.
+     */
+    void evictSeeded();
+
+    /**
      * The pool the shards run on; resolved (and for a dedicated pool,
      * spawned) on first use, so idle engines own no threads.
      */
@@ -276,6 +293,38 @@ class EnsembleEngine
 
     std::mutex cacheMutex;
 
+    /**
+     * One in-flight-or-done cache entry. A future so a miss builds
+     * OUTSIDE the cache mutex: concurrent gathers at distinct keys
+     * build in parallel, while racers on the same key wait for the one
+     * build instead of repeating it — so every build, and the work it
+     * counts in sim.*, happens once per key whatever the thread count.
+     * The claim id lets exception cleanup evict exactly its own entry
+     * (not a successor's, re-claimed after a clearCache()).
+     */
+    template <class V>
+    struct Slot
+    {
+        using Value = V;
+        std::shared_future<V> future;
+        std::uint64_t claim = 0;
+    };
+
+    /** Next claim id for cache slots; guarded by cacheMutex. */
+    std::uint64_t nextClaim = 0;
+
+    /**
+     * Single-flight find-or-build over one of the caches below: a hit
+     * returns the entry (waiting if its build is still in flight); a
+     * miss claims the key, runs `build` outside the lock and publishes
+     * the result to every waiter. `built` is set when this call ran
+     * the build. Lookups take a tuple of references
+     * (std::less<> keys), so a hit allocates nothing.
+     */
+    template <class Map, class Key, class Build>
+    typename Map::mapped_type::Value
+    findOrBuild(Map &cache, const Key &key, Build &&build, bool &built);
+
     /** A truncated circuit and whether its simulation is seed-free. */
     struct Prefix
     {
@@ -288,57 +337,43 @@ class EnsembleEngine
     };
 
     /** Truncated circuits keyed by breakpoint label. */
-    std::map<std::string, Prefix> prefixCache;
+    std::map<std::string, Slot<Prefix>, std::less<>> prefixCache;
 
     /**
      * Resimulate-mode head/tail splits keyed by breakpoint label.
      * Seed-independent: the head is deterministic by construction.
      */
-    std::map<std::string, std::shared_ptr<const ResimPlan>>
+    std::map<std::string, Slot<std::shared_ptr<const ResimPlan>>,
+             std::less<>>
         resimCache;
 
     /**
-     * One in-flight-or-done prefix simulation. A future so a cache
-     * miss simulates OUTSIDE the cache mutex: concurrent gathers at
-     * distinct breakpoints simulate in parallel, while racers on the
-     * same key wait for the one simulation instead of duplicating it.
-     * The claim id lets exception cleanup evict exactly its own entry
-     * (not a successor's, re-claimed after a clearCache()).
+     * SampleFinalState prefix execution records keyed by (breakpoint,
+     * seed), with seed 0 standing for every seed when the prefix is
+     * seed-free.
      */
-    struct PrefixClaim
-    {
-        std::shared_future<
-            std::shared_ptr<const circuit::ExecutionRecord>>
-            future;
-        std::uint64_t claim = 0;
-    };
-
-    /**
-     * Prefix execution records keyed by (breakpoint, seed), with seed
-     * 0 standing for every seed when the prefix is seed-free.
-     */
-    std::map<std::pair<std::string, std::uint64_t>, PrefixClaim>
+    std::map<std::tuple<std::string, std::uint64_t>,
+             Slot<std::shared_ptr<const circuit::ExecutionRecord>>,
+             std::less<>>
         stateCache;
-
-    /** Next claim id for stateCache entries; guarded by cacheMutex. */
-    std::uint64_t nextClaim = 0;
 
     /**
      * Built CdfSamplers keyed by (breakpoint, seed, qubits), the seed
-     * read as in stateCache: repeated
-     * gathers of the same request skip the O(2^n) marginalisation and
-     * CDF build, not just the prefix simulation.
+     * read as in stateCache: repeated gathers of the same request skip
+     * the O(2^n) marginalisation and CDF build, not just the prefix
+     * simulation.
      */
     std::map<std::tuple<std::string, std::uint64_t,
                         std::vector<unsigned>>,
-             std::shared_ptr<const CdfSampler>>
+             Slot<std::shared_ptr<const CdfSampler>>, std::less<>>
         samplerCache;
 
     /**
      * Tensor-stage decompositions keyed by breakpoint; a null entry
      * records "this prefix does not split" so the scan runs once.
      */
-    std::map<std::string, std::shared_ptr<const TensorStages>>
+    std::map<std::string, Slot<std::shared_ptr<const TensorStages>>,
+             std::less<>>
         stagesCache;
 
     Prefix prefix(const std::string &breakpoint);

@@ -157,21 +157,21 @@ Session::ensembleSize(std::size_t size)
 {
     fatal_if(size == 0, "ensemble size must be positive");
     cfg.ensembleSize = size;
-    return invalidate();
+    return reconfigure();
 }
 
 Session &
 Session::mode(assertions::EnsembleMode m)
 {
     cfg.mode = m;
-    return invalidate();
+    return reconfigure();
 }
 
 Session &
 Session::seed(std::uint64_t s)
 {
     cfg.seed = s;
-    return invalidate();
+    return reconfigure();
 }
 
 Session &
@@ -185,7 +185,7 @@ Session &
 Session::gTest(bool enabled)
 {
     cfg.useGTest = enabled;
-    return invalidate();
+    return reconfigure();
 }
 
 Session &
@@ -225,6 +225,18 @@ Session &
 Session::use(const HolmBonferroni &policy)
 {
     familyWise = policy.enabled;
+    stale = true;
+    return *this;
+}
+
+Session &
+Session::reconfigure()
+{
+    // Seed, mode, ensemble size and test statistic do not shape the
+    // engine: the checker keeps its pools and every cache entry that
+    // stays valid under the new configuration.
+    if (checker)
+        checker->reconfigure(cfg);
     stale = true;
     return *this;
 }

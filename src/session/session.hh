@@ -32,6 +32,18 @@
  * engine's truncated-circuit and prefix-state caches — with verdicts
  * bit-identical to driving an AssertionChecker directly (enforced by
  * tests/test_session.cc across thread counts and ensemble modes).
+ *
+ * A run reuses what earlier runs built. The checker (engine, its
+ * caches and both pools) lives as long as the resolved program and
+ * thread count do: threads() and the first after() rebuild it, while
+ * seed(), mode(), ensembleSize() and gTest() update it in place. A
+ * re-run therefore keeps truncated and fused prefixes, Resimulate
+ * heads, and every seed-free prefix state and shot sampler; only the
+ * SampleFinalState states past a measurement, which belong to one
+ * seed, are dropped on a seed change. Re-running a measurement-free
+ * plan under a new seed resamples without simulating, and every run
+ * is bit-identical to that of a fresh session with the same
+ * configuration.
  * Escalation (sequential ensemble doubling) and Holm-Bonferroni
  * family-wise control are composable policy objects applied with
  * use(), not flags scattered across CheckConfig.
@@ -264,10 +276,17 @@ class Session
     /** Ensemble generation mode. */
     Session &mode(assertions::EnsembleMode m);
 
-    /** Master seed for every ensemble stream. */
+    /**
+     * Master seed for every ensemble stream. The live engine is kept:
+     * seed-free prefix states and samplers serve the new seed as they
+     * are, and only states simulated under the old seed are dropped
+     * (see the file comment), so the next run resamples a
+     * measurement-free plan without simulating it again.
+     */
     Session &seed(std::uint64_t s);
 
-    /** Worker threads (CheckConfig::numThreads semantics). */
+    /** Worker threads (CheckConfig::numThreads semantics); rebuilds
+     *  the engine and its pools on the next run. */
     Session &threads(unsigned num_threads);
 
     /** Use the G-test instead of Pearson chi-square. */
@@ -511,7 +530,12 @@ class Session
     std::vector<assertions::AssertionOutcome> results;
     bool stale = true;
 
-    /** Invalidate engine + results after a config change. */
+    /** Hand a config change to the live checker (if any) and mark
+     *  the results stale; the engine and its caches stay. */
+    Session &reconfigure();
+
+    /** Drop the checker and runner (the engine is rebuilt on the
+     *  next run) and mark the results stale. */
     Session &invalidate();
 
     /** Build `resolved`, the checker, and the runner if needed. */

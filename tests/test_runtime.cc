@@ -404,6 +404,103 @@ TEST(EnsembleEngine, MeasuredPrefixSimulatesOncePerSeed)
     EXPECT_EQ(counterValue("runtime.state_cache.misses"), 3);
 }
 
+// --- Single-flight caches --------------------------------------------------
+
+/**
+ * Teleport with its mid-circuit measurements and conditioned X/Z
+ * corrections, plus six assertions of which two share each of two
+ * breakpoints — the shape where plan units race on one cache key.
+ */
+struct MeasuredTeleport
+{
+    circuit::Circuit program;
+    std::vector<assertions::AssertionSpec> plan;
+
+    MeasuredTeleport()
+    {
+        const auto msg = program.addRegister("msg", 1);
+        const auto alice = program.addRegister("alice", 1);
+        const auto bob = program.addRegister("bob", 1);
+        program.ry(msg[0], 0.7);
+        program.h(alice[0]);
+        program.cnot(alice[0], bob[0]);
+        program.breakpoint("pair_ready");
+        program.cnot(msg[0], alice[0]);
+        program.h(msg[0]);
+        program.breakpoint("rotated");
+        program.measureQubits({msg[0]}, "m_msg");
+        program.measureQubits({alice[0]}, "m_alice");
+        program.x(bob[0]);
+        program.conditionLast("m_alice", 1);
+        program.z(bob[0]);
+        program.conditionLast("m_msg", 1);
+        program.breakpoint("corrected");
+        program.ry(bob[0], -0.7);
+        program.breakpoint("verified");
+
+        const auto add = [&](assertions::AssertionKind kind,
+                             const std::string &bp,
+                             const circuit::QubitRegister &a,
+                             const circuit::QubitRegister &b) {
+            assertions::AssertionSpec spec;
+            spec.kind = kind;
+            spec.breakpoint = bp;
+            spec.regA = a;
+            spec.regB = b;
+            plan.push_back(spec);
+        };
+        using assertions::AssertionKind;
+        add(AssertionKind::Entangled, "pair_ready", alice, bob);
+        add(AssertionKind::Product, "pair_ready", msg, bob);
+        add(AssertionKind::Superposition, "rotated", alice, {});
+        add(AssertionKind::Product, "corrected", msg, alice);
+        add(AssertionKind::Classical, "verified", bob, {});
+        add(AssertionKind::Product, "verified", msg, bob);
+    }
+};
+
+/** The work and cache counters one fresh checkAll() adds. */
+std::vector<std::int64_t>
+checkAllTotals(const MeasuredTeleport &fx,
+               assertions::EnsembleMode mode, unsigned threads)
+{
+    static const char *const kNames[] = {
+        "sim.amp_touches",           "sim.gate_applies",
+        "runtime.prefix_cache.hits", "runtime.prefix_cache.misses",
+        "runtime.head_cache.hits",   "runtime.head_cache.misses",
+        "runtime.state_cache.hits",  "runtime.state_cache.misses",
+        "runtime.sampler_cache.hits", "runtime.sampler_cache.misses",
+    };
+    assertions::CheckConfig cfg;
+    cfg.mode = mode;
+    cfg.numThreads = threads;
+    obs::Registry::reset();
+    assertions::AssertionChecker checker(fx.program, cfg);
+    for (const auto &spec : fx.plan)
+        checker.addAssertion(spec);
+    checker.checkAll();
+    std::vector<std::int64_t> totals;
+    for (const char *name : kNames)
+        totals.push_back(counterValue(name));
+    return totals;
+}
+
+TEST(EnsembleEngine, RacingUnitsBuildEachCacheEntryOnce)
+{
+    // Units racing on one breakpoint wait for the one build instead
+    // of repeating it, so the work and cache totals of a run are the
+    // same at 1 and 4 threads (obs.hh's determinism promise).
+    const MeasuredTeleport fx;
+    for (const auto mode : {assertions::EnsembleMode::Resimulate,
+                            assertions::EnsembleMode::SampleFinalState}) {
+        const auto serial = checkAllTotals(fx, mode, 1);
+        EXPECT_GT(serial[0], 0);
+        for (int rep = 0; rep < 40; ++rep)
+            ASSERT_EQ(checkAllTotals(fx, mode, 4), serial)
+                << "mode " << static_cast<int>(mode) << ", run " << rep;
+    }
+}
+
 #endif // QSA_OBS_ENABLED
 
 // --- Checker-level invariance ---------------------------------------------

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <functional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -269,6 +270,182 @@ TEST(SessionFluent, ConfigSettersRebuildTheEngine)
     s.ensembleSize(256).seed(CheckConfig().seed);
     expectIdentical(s.outcomes()[0], first, "restored config");
 }
+
+// --- Re-running one session under a new configuration ----------------------
+
+/** A plan, registered the same way on every session it is given. */
+struct PlannedCase
+{
+    std::string name;
+    Circuit program;
+    std::function<void(session::Session &)> plan;
+};
+
+/** Grover over 4 qubits: label sites plus one boundary site. */
+PlannedCase
+groverCase()
+{
+    const auto g = algo::buildMarkedValueGrover(4, 0b1011);
+    return {"grover", g.circuit, [q = g.q](session::Session &s) {
+                s.at("superposed").expectSuperposition(q);
+                s.at("iter_1").expectSuperposition(q);
+                s.after(5).expectSuperposition(q);
+                s.at("iter_3").expectClassical(q, 0b1011);
+            }};
+}
+
+/**
+ * Teleport measured mid-circuit and corrected by conditioned X/Z, with
+ * assertions before and after the measurements.
+ */
+PlannedCase
+measuredTeleportCase()
+{
+    Circuit c;
+    const auto msg = c.addRegister("msg", 1);
+    const auto alice = c.addRegister("alice", 1);
+    const auto bob = c.addRegister("bob", 1);
+    c.ry(msg[0], 0.7);
+    c.h(alice[0]);
+    c.cnot(alice[0], bob[0]);
+    c.breakpoint("pair_ready");
+    c.cnot(msg[0], alice[0]);
+    c.h(msg[0]);
+    c.measureQubits({msg[0]}, "m_msg");
+    c.measureQubits({alice[0]}, "m_alice");
+    c.x(bob[0]);
+    c.conditionLast("m_alice", 1);
+    c.z(bob[0]);
+    c.conditionLast("m_msg", 1);
+    c.breakpoint("corrected");
+    c.ry(bob[0], -0.7);
+    c.breakpoint("verified");
+    return {"teleport", c, [=](session::Session &s) {
+                s.at("pair_ready").expectEntangled(alice, bob);
+                s.at("corrected").expectProduct(msg, alice);
+                s.at("verified").expectClassical(bob, 0);
+                s.at("verified").expectProduct(msg, bob);
+            }};
+}
+
+/** The session's current run equals a fresh session's, field for field. */
+void
+expectMatchesFresh(session::Session &s, const PlannedCase &pc,
+                   const std::string &where)
+{
+    session::Session fresh(pc.program, s.config());
+    pc.plan(fresh);
+    const auto &got = s.run();
+    const auto &want = fresh.run();
+    ASSERT_EQ(got.size(), want.size()) << where;
+    for (std::size_t i = 0; i < got.size(); ++i)
+        expectIdentical(got[i], want[i],
+                        where + ", assertion " + std::to_string(i));
+}
+
+TEST(SessionRerun, ReconfiguredRunMatchesAFreshSession)
+{
+    // Seed, mode, ensemble size and test statistic change in place on
+    // the live engine; every run must still be bit-identical to a
+    // session built fresh with the same configuration.
+    const PlannedCase teleport = measuredTeleportCase();
+    const PlannedCase grover = groverCase();
+    struct Start
+    {
+        const PlannedCase *pc;
+        EnsembleMode mode;
+    };
+    for (const Start start :
+         {Start{&grover, EnsembleMode::SampleFinalState},
+          Start{&teleport, EnsembleMode::SampleFinalState},
+          Start{&teleport, EnsembleMode::Resimulate}}) {
+        for (unsigned threads : {1u, 4u}) {
+            const PlannedCase &pc = *start.pc;
+            const std::string where =
+                pc.name + (start.mode == EnsembleMode::Resimulate
+                               ? " resimulate"
+                               : " sample") +
+                " threads " + std::to_string(threads);
+            session::Session s(pc.program);
+            s.threads(threads).mode(start.mode);
+            pc.plan(s);
+            expectMatchesFresh(s, pc, where + ", first run");
+
+            s.seed(11);
+            expectMatchesFresh(s, pc, where + ", seed 11");
+            s.seed(22);
+            expectMatchesFresh(s, pc, where + ", seed 22");
+            s.ensembleSize(128);
+            expectMatchesFresh(s, pc, where + ", size 128");
+            s.gTest();
+            expectMatchesFresh(s, pc, where + ", g-test");
+            s.mode(start.mode == EnsembleMode::Resimulate
+                       ? EnsembleMode::SampleFinalState
+                       : EnsembleMode::Resimulate);
+            expectMatchesFresh(s, pc, where + ", other mode");
+            s.mode(start.mode).seed(CheckConfig().seed).ensembleSize(256)
+                .gTest(false);
+            expectMatchesFresh(s, pc, where + ", restored");
+        }
+    }
+}
+
+#if QSA_OBS_ENABLED
+
+/** A counter's value in the current registry snapshot (0 if unseen). */
+std::int64_t
+counterValue(const std::string &name)
+{
+    for (const auto &[key, value] : obs::Registry::snapshot())
+        if (key == name)
+            return value;
+    return 0;
+}
+
+TEST(SessionRerun, NewSeedReusesSeedFreeStates)
+{
+    // A measurement-free plan ends in the same state under every
+    // seed: re-running it under a new seed only resamples.
+    const PlannedCase pc = groverCase();
+    session::Session s(pc.program);
+    s.threads(4);
+    pc.plan(s);
+    s.run();
+
+    const std::int64_t misses = counterValue("runtime.state_cache.misses");
+    const std::int64_t samplers =
+        counterValue("runtime.sampler_cache.misses");
+    const std::int64_t gates = counterValue("sim.gate_applies");
+    s.seed(11);
+    s.run();
+    EXPECT_EQ(counterValue("runtime.state_cache.misses"), misses);
+    EXPECT_EQ(counterValue("runtime.sampler_cache.misses"), samplers);
+    EXPECT_EQ(counterValue("sim.gate_applies"), gates);
+}
+
+TEST(SessionRerun, MeasuredStatesAreEvictedOnReseed)
+{
+    // Past a measurement the SampleFinalState prefix state belongs to
+    // one seed. A new seed drops it, so going back to the first seed
+    // simulates the two measured breakpoints again.
+    const PlannedCase pc = measuredTeleportCase();
+    session::Session s(pc.program);
+    s.threads(4);
+    pc.plan(s);
+    s.seed(11);
+    s.run();
+    std::int64_t misses = counterValue("runtime.state_cache.misses");
+    for (std::uint64_t seed : {22u, 11u}) {
+        s.seed(seed);
+        s.run();
+        const std::int64_t now =
+            counterValue("runtime.state_cache.misses");
+        EXPECT_EQ(now - misses, 2) << "seed " << seed;
+        misses = now;
+    }
+}
+
+#endif // QSA_OBS_ENABLED
 
 TEST(SessionFluent, PerExpectationEnsembleSizeMatchesHandBuiltConfig)
 {

@@ -143,6 +143,8 @@ TEST(TraceFlush, AtexitFlushSurvivesPoolTeardown)
 {
     if (std::getenv("QSA_SHUTDOWN_CHILD") != nullptr)
         GTEST_SKIP() << "child process runs ChildWorkload only";
+    if (!QSA_OBS_ENABLED)
+        GTEST_SKIP() << "tracing is compiled out (QSA_OBS=OFF)";
 
     const std::string trace_path =
         ::testing::TempDir() + "qsa_shutdown_trace_" +
