@@ -456,6 +456,13 @@ metricsEpilogue()
     once(5, Strategy::LinearScan, EnsembleMode::Resimulate,
          ProbeFamily::SegmentMirror, nullptr,
          locate::OracleMode::Sampled);
+    // The default oracle mode on the same program: the first
+    // derivation of the search overflows the exact walk and falls
+    // back, and every later (lazy) oracle of the search is derived
+    // by sampling directly, so locate.oracle.sampled_fallbacks
+    // counts one per Auto search past the branch cap.
+    once(5, Strategy::AdaptiveBinarySearch, EnsembleMode::Resimulate,
+         ProbeFamily::SegmentMirror, nullptr);
 }
 
 } // anonymous namespace

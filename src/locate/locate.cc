@@ -124,15 +124,35 @@ baseConfig(const LocateConfig &cfg)
     return cc;
 }
 
-/** The oracle derivation knobs of a locate config (predicates.hh). */
+/**
+ * The oracle derivation knobs of a locate config (predicates.hh),
+ * with sampled trials fanned across the prober's pool.
+ */
 OracleOptions
-oracleOptionsFor(const LocateConfig &cfg)
+oracleOptionsFor(const LocateConfig &cfg, runtime::ThreadPool &pool)
 {
     OracleOptions opts;
     opts.mode = cfg.oracleMode;
     if (cfg.oracleTrials != 0)
         opts.sampleTrials = cfg.oracleTrials;
+    opts.pool = &pool;
     return opts;
+}
+
+/**
+ * Resolve an Auto derivation mode once per search: pin it to what the
+ * first derivation, `derived`, fell to, so later derivations neither
+ * repeat an exact walk that overflowed nor fall back again. The exact
+ * walk always covers the whole reference, so overflow does not depend
+ * on the recorded boundaries, register or frames, and the pinned mode
+ * derives exactly what Auto would.
+ */
+void
+pinOracleMode(OracleOptions &opts, const PredicateOracle &derived)
+{
+    if (opts.mode == OracleMode::Auto)
+        opts.mode =
+            derived.sampled() ? OracleMode::Sampled : OracleMode::Exact;
 }
 
 ProbeRecord
@@ -430,9 +450,10 @@ class MirrorProber : public Prober
                                              boundaries.end()),
                                  boundaries.end());
             }
+            oracleOpts = oracleOptionsFor(cfg, runner.pool());
             oracle = std::make_unique<PredicateOracle>(
-                reference, allReg, cfg.seed, boundaries,
-                oracleOptionsFor(cfg));
+                reference, allReg, cfg.seed, boundaries, oracleOpts);
+            pinOracleMode(oracleOpts, *oracle);
         }
     }
 
@@ -537,6 +558,7 @@ class MirrorProber : public Prober
     std::vector<std::uint64_t> refValues;
     std::vector<std::size_t> segStart;
     std::unique_ptr<PredicateOracle> oracle;
+    OracleOptions oracleOpts; // Auto pinned by the eager oracle
     bool scanAll = false;
     mutable std::map<std::size_t, PredicateOracle> lazyOracles;
 
@@ -574,9 +596,12 @@ class MirrorProber : public Prober
      * The oracle holding the full-space predicate at `boundary`: the
      * eager one where it recorded the boundary (segment starts; every
      * boundary under LinearScan), else a lazily built and memoised
-     * single-boundary oracle (one extra measurement-resolved pass —
-     * cheap next to the probe's ensemble). Called from the search
-     * thread only; probe workers never touch the cache.
+     * single-boundary oracle in the mode the eager one resolved. An
+     * exact one is one more measurement-resolved pass of the whole
+     * reference; a sampled one runs the trial budget up to `boundary`
+     * on the prober's pool, which past the branch cap costs about as
+     * much as the probe's own ensemble. Called from the search thread
+     * only; probe workers never touch the cache.
      */
     const PredicateOracle &
     oracleAt(std::size_t boundary) const
@@ -590,7 +615,7 @@ class MirrorProber : public Prober
                               PredicateOracle(
                                   reference, allReg, cfg.seed,
                                   std::vector<std::size_t>{boundary},
-                                  oracleOptionsFor(cfg)))
+                                  oracleOpts))
                      .first;
         }
         return it->second;
@@ -752,8 +777,10 @@ class PredicateProber : public Prober
                     const circuit::QubitRegister *reg_b)
         : cfg(cfg), regA(reg_a),
           instrumented(suspect.withBoundaryBreakpoints(kBoundaryPrefix)),
-          oracle(reference, reg_a, cfg.seed, oracleOptionsFor(cfg)),
-          checker(instrumented, baseConfig(cfg)), runner(cfg.numThreads)
+          runner(cfg.numThreads),
+          oracle(reference, reg_a, cfg.seed,
+                 oracleOptionsFor(cfg, runner.pool())),
+          checker(instrumented, baseConfig(cfg))
     {
         fatal_if(suspect.numQubits() != reference.numQubits(),
                  "suspect and reference use different qubit spaces");
@@ -822,9 +849,9 @@ class PredicateProber : public Prober
     circuit::QubitRegister regA;
     circuit::QubitRegister regB;
     circuit::Circuit instrumented;
+    runtime::BatchRunner runner;
     PredicateOracle oracle;
     assertions::AssertionChecker checker;
-    runtime::BatchRunner runner;
     std::map<std::size_t, assertions::AssertionKind> scopeKinds;
     std::size_t hi = 0;
 
@@ -1093,7 +1120,8 @@ class RotatedProber : public Prober
                   const LocateConfig &cfg,
                   const circuit::QubitRegister &reg)
         : cfg(cfg), regA(reg), suspect(suspect),
-          reference(reference), runner(cfg.numThreads)
+          reference(reference), runner(cfg.numThreads),
+          oracleOpts(oracleOptionsFor(cfg, runner.pool()))
     {
         fatal_if(suspect.numQubits() != reference.numQubits(),
                  "suspect and reference use different qubit spaces");
@@ -1140,7 +1168,8 @@ class RotatedProber : public Prober
             scanOracle = std::make_unique<PredicateOracle>(
                 reference, regA, cfg.seed, &boundaries,
                 std::vector<Frame>{Frame::Z, Frame::X, Frame::Y},
-                oracleOptionsFor(cfg));
+                oracleOpts);
+            pinOracleMode(oracleOpts, *scanOracle);
         }
         std::vector<assertions::AssertionOutcome> outcomes;
         for (std::size_t base = 0; base < boundaries.size();
@@ -1193,14 +1222,19 @@ class RotatedProber : public Prober
     runtime::BatchRunner runner;
     std::size_t hi = 0;
 
+    /** Derivation options; Auto is pinned by the first derivation. */
+    mutable OracleOptions oracleOpts;
+
     /** Eager three-frame oracle, built on the first probeAll. */
     std::unique_ptr<PredicateOracle> scanOracle;
 
     /**
      * Adaptive probes derive their boundary's three-frame predicates
-     * lazily (one measurement-resolved pass each) and memoise them —
-     * escalation and confirmation rounds at the same boundary reuse
-     * the entry. Search-thread only.
+     * lazily and memoise them — escalation and confirmation rounds at
+     * the same boundary reuse the entry. Each is one exact pass of the
+     * whole reference or, past the branch cap, the sampled trial
+     * budget run up to the boundary on the prober's pool; the first
+     * one resolves Auto for the rest. Search-thread only.
      */
     mutable std::map<std::size_t, std::unique_ptr<PredicateOracle>>
         lazyOracles;
@@ -1217,8 +1251,9 @@ class RotatedProber : public Prober
                                   reference, regA, cfg.seed, &one,
                                   std::vector<Frame>{
                                       Frame::Z, Frame::X, Frame::Y},
-                                  oracleOptionsFor(cfg)))
+                                  oracleOpts))
                      .first;
+            pinOracleMode(oracleOpts, *it->second);
         }
         return *it->second;
     }

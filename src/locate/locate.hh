@@ -271,7 +271,9 @@ struct LocateConfig
      * below the cap. Swap-test probes always derive their purities
      * exactly (a sampled purity estimator needs two-copy trials the
      * OverlapOracle does not implement), so SwapTest/Auto families
-     * keep the exact cap on the comparator path.
+     * keep the exact cap on the comparator path. A search resolves
+     * Auto once, with its first derivation, and derives its later
+     * oracles in the resolved mode.
      */
     OracleMode oracleMode = OracleMode::Auto;
 

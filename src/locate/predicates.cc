@@ -7,7 +7,7 @@
 
 #include <algorithm>
 #include <cmath>
-
+#include <numeric>
 #include <sstream>
 
 #include "circuit/executor.hh"
@@ -19,6 +19,7 @@
 #include "common/logging.hh"
 #include "common/rng.hh"
 #include "obs/obs.hh"
+#include "runtime/pool.hh"
 #include "sim/gates.hh"
 
 namespace qsa::locate
@@ -50,6 +51,13 @@ constexpr std::size_t kMaxBranches = 4096;
  * boundary set.
  */
 constexpr std::uint64_t kSampleDrawSalt = 0x5a3d53edc0117ecULL;
+
+/**
+ * Trials per unit of the sampled derivation's pool fan-out: large
+ * enough that one unit's work dwarfs the pool hand-off, small enough
+ * that the default 4096-trial budget spreads evenly over any pool.
+ */
+constexpr std::size_t kTrialChunk = 64;
 
 BoundaryPredicate
 classify(const std::vector<double> &probs)
@@ -86,29 +94,35 @@ classify(const std::vector<double> &probs)
 }
 
 /**
- * Weighted register marginal over a measurement-branch mixture, read
- * in `frame`: each branch state is rotated by the frame's
- * basis-change epilogue before marginalisation — exactly the
- * distribution a probe carrying frameEpilogue(reg, frame) samples.
+ * Register marginal of one state read in `frame`: the state is
+ * rotated by the frame's basis-change epilogue before
+ * marginalisation — exactly the distribution a probe carrying
+ * frameEpilogue(reg, frame) samples.
  */
+std::vector<double>
+frameMarginal(const sim::StateVector &state,
+              const std::vector<unsigned> &qubits, Frame frame)
+{
+    if (frame == Frame::Z)
+        return state.marginalProbs(qubits);
+    sim::StateVector rotated = state;
+    for (unsigned q : qubits) {
+        if (frame == Frame::Y)
+            rotated.applyGate(sim::gates::sdg(), q);
+        rotated.applyGate(sim::gates::h(), q);
+    }
+    return rotated.marginalProbs(qubits);
+}
+
+/** Weighted frameMarginal over a measurement-branch mixture. */
 std::vector<double>
 mixtureMarginal(const std::vector<circuit::ExecutionBranch> &branches,
                 const std::vector<unsigned> &qubits, Frame frame)
 {
     std::vector<double> probs(pow2(qubits.size()), 0.0);
     for (const auto &branch : branches) {
-        std::vector<double> marginal;
-        if (frame == Frame::Z) {
-            marginal = branch.state.marginalProbs(qubits);
-        } else {
-            sim::StateVector rotated = branch.state;
-            for (unsigned q : qubits) {
-                if (frame == Frame::Y)
-                    rotated.applyGate(sim::gates::sdg(), q);
-                rotated.applyGate(sim::gates::h(), q);
-            }
-            marginal = rotated.marginalProbs(qubits);
-        }
+        const std::vector<double> marginal =
+            frameMarginal(branch.state, qubits, frame);
         for (std::size_t v = 0; v < probs.size(); ++v)
             probs[v] += branch.weight * marginal[v];
     }
@@ -439,7 +453,7 @@ PredicateOracle::build(const circuit::Circuit &reference,
 
     if (options.mode == OracleMode::Sampled) {
         buildSampled(reference, sorted, all, frames,
-                     options.sampleTrials);
+                     options.sampleTrials, options.pool);
         return;
     }
     try {
@@ -452,7 +466,7 @@ PredicateOracle::build(const circuit::Circuit &reference,
         QSA_OBS_COUNTER("locate.oracle.sampled_fallbacks", 1);
         preds.clear();
         buildSampled(reference, sorted, all, frames,
-                     options.sampleTrials);
+                     options.sampleTrials, options.pool);
     }
 }
 
@@ -540,17 +554,25 @@ PredicateOracle::buildSampled(
     const circuit::Circuit &reference,
     const std::vector<std::size_t> &sortedBoundaries,
     bool allBoundaries, const std::vector<Frame> &frames,
-    std::size_t trials)
+    std::size_t trials, runtime::ThreadPool *pool)
 {
     fatal_if(trials == 0,
              "sampled oracle needs a non-zero trial budget");
     sampledTrials = trials;
 
-    const auto wanted = [&](std::size_t b) {
-        return allBoundaries ||
-               std::binary_search(sortedBoundaries.begin(),
-                                  sortedBoundaries.end(), b);
-    };
+    // The recorded boundaries in walk order.
+    std::vector<std::size_t> recorded;
+    if (allBoundaries) {
+        recorded.resize(totalBoundaries);
+        std::iota(recorded.begin(), recorded.end(), std::size_t{0});
+    } else {
+        recorded.reserve(sortedBoundaries.size());
+        for (std::size_t b : sortedBoundaries) {
+            if (b < totalBoundaries &&
+                (recorded.empty() || recorded.back() != b))
+                recorded.push_back(b);
+        }
+    }
 
     common::ArtifactStore *store = common::artifactStore();
     std::string key;
@@ -563,10 +585,7 @@ PredicateOracle::buildSampled(
         if (store->load("predicates", key, &payload) &&
             restorePredicates(payload, totalBoundaries, &preds)) {
             bool covered = true;
-            for (std::size_t b = 0;
-                 covered && b < totalBoundaries; ++b) {
-                if (!wanted(b))
-                    continue;
+            for (std::size_t b : recorded) {
                 for (Frame frame : frames)
                     covered = covered &&
                               preds.count({b, frame}) != 0;
@@ -582,61 +601,69 @@ PredicateOracle::buildSampled(
         QSA_OBS_COUNTER("locate.oracle.sampled_derivations", 1);
         QSA_OBS_COUNTER("locate.oracle.sampled_trials", trials);
 
-        // Per-(boundary, frame) outcome tallies over all trials.
-        std::map<std::pair<std::size_t, Frame>, std::vector<double>>
-            counts;
-
-        // Draw one outcome of trial t's state at boundary b in each
-        // frame. The draw stream is keyed by (boundary, frame,
-        // trial) and independent of the trajectory stream: recording
-        // an extra boundary must not perturb the trajectory's later
-        // measurements, or the derivation would depend on the probed
-        // boundary set.
-        const auto drawAt = [&](std::size_t b, std::size_t trial,
-                                const sim::StateVector &state) {
+        // One slot per recorded (boundary, frame), boundary-major;
+        // slot s of trial t holds that trial's drawn outcome at
+        // draws[t * slots + s]. Each slot's draw stream is keyed by
+        // (boundary, frame) and split per trial, independent of the
+        // trajectory stream: recording an extra boundary must not
+        // perturb the trajectory's later measurements, or the
+        // derivation would depend on the probed boundary set.
+        const std::size_t slots = recorded.size() * frames.size();
+        std::vector<Rng> slotStreams;
+        slotStreams.reserve(slots);
+        for (std::size_t b : recorded) {
             for (Frame frame : frames) {
-                std::vector<double> marginal;
-                if (frame == Frame::Z) {
-                    marginal = state.marginalProbs(reg.qubits());
-                } else {
-                    sim::StateVector rotated = state;
-                    for (unsigned q : reg.qubits()) {
-                        if (frame == Frame::Y)
-                            rotated.applyGate(sim::gates::sdg(), q);
-                        rotated.applyGate(sim::gates::h(), q);
-                    }
-                    marginal = rotated.marginalProbs(reg.qubits());
-                }
-                Rng draw =
+                slotStreams.push_back(
                     Rng(seed ^ kSampleDrawSalt)
                         .split(b * 3 +
-                               static_cast<std::size_t>(frame))
-                        .split(trial);
-                std::vector<double> &tally = counts[{b, frame}];
-                if (tally.empty())
-                    tally.assign(pow2(reg.width()), 0.0);
-                tally[draw.discrete(marginal)] += 1.0;
+                               static_cast<std::size_t>(frame)));
             }
-        };
+        }
+        std::vector<std::uint32_t> draws(trials * slots);
 
         // One sampled trajectory per trial, stepped with the same
-        // interpreter as a Resimulate run (bit-identical
-        // amplitudes), its RNG stream keyed by the trial index — the
-        // tallies are independent of thread count and iteration
-        // order by construction.
-        for (std::size_t t = 0; t < trials; ++t) {
+        // interpreter as a Resimulate run (bit-identical amplitudes)
+        // and its RNG stream keyed by the trial index, up to the last
+        // recorded boundary only: later instructions cannot change an
+        // earlier draw.
+        const auto runTrial = [&](std::size_t t) {
             Rng traj = Rng(seed).split(t);
             sim::StateVector state(reference.numQubits());
             std::map<std::string, std::uint64_t> meas;
-            if (wanted(0))
-                drawAt(0, t, state);
-            for (std::size_t k = 0; k < reference.size(); ++k) {
-                circuit::stepInstruction(reference,
-                                         reference.instructions()[k],
-                                         state, meas, traj);
-                if (wanted(k + 1))
-                    drawAt(k + 1, t, state);
+            std::uint32_t *row = draws.data() + t * slots;
+            std::size_t slot = 0;
+            std::size_t k = 0;
+            for (std::size_t b : recorded) {
+                for (; k < b; ++k) {
+                    circuit::stepInstruction(
+                        reference, reference.instructions()[k], state,
+                        meas, traj);
+                }
+                for (Frame frame : frames) {
+                    Rng draw = slotStreams[slot].split(t);
+                    row[slot++] =
+                        static_cast<std::uint32_t>(draw.discrete(
+                            frameMarginal(state, reg.qubits(), frame)));
+                }
             }
+        };
+
+        // Fixed-size trial chunks across the pool; every trial writes
+        // only its own row, so the tally below sees the same draws
+        // whatever the thread count or chunk order.
+        const std::size_t chunks =
+            (trials + kTrialChunk - 1) / kTrialChunk;
+        const auto runChunk = [&](std::size_t c) {
+            const std::size_t end =
+                std::min(trials, (c + 1) * kTrialChunk);
+            for (std::size_t t = c * kTrialChunk; t < end; ++t)
+                runTrial(t);
+        };
+        if (pool != nullptr) {
+            pool->parallelFor(chunks, runChunk);
+        } else {
+            for (std::size_t c = 0; c < chunks; ++c)
+                runChunk(c);
         }
 
         // Sampled predicates are always Distribution-with-counts:
@@ -644,16 +671,20 @@ PredicateOracle::buildSampled(
         // would promote sampling noise into an exact hypothesis and
         // hard-fail probes on rare-but-possible outcomes. The
         // two-sample test downstream prices in both sides' noise.
-        for (auto &entry : counts) {
+        for (std::size_t s = 0; s < slots; ++s) {
             BoundaryPredicate pred;
             pred.kind = assertions::AssertionKind::Distribution;
-            pred.referenceCounts = std::move(entry.second);
+            pred.referenceCounts.assign(pow2(reg.width()), 0.0);
+            for (std::size_t t = 0; t < trials; ++t)
+                pred.referenceCounts[draws[t * slots + s]] += 1.0;
             pred.referenceTrials = trials;
             pred.expectedProbs.reserve(pred.referenceCounts.size());
             for (double c : pred.referenceCounts)
                 pred.expectedProbs.push_back(
                     c / static_cast<double>(trials));
-            preds.emplace(entry.first, std::move(pred));
+            preds.emplace(std::make_pair(recorded[s / frames.size()],
+                                         frames[s % frames.size()]),
+                          std::move(pred));
         }
     }
 

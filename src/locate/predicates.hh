@@ -51,6 +51,11 @@
 #include "circuit/circuit.hh"
 #include "circuit/register.hh"
 
+namespace qsa::runtime
+{
+class ThreadPool;
+} // namespace qsa::runtime
+
 namespace qsa::locate
 {
 
@@ -158,14 +163,28 @@ struct OracleOptions
      * it replaces.
      */
     std::size_t sampleTrials = 4096;
+
+    /**
+     * Pool the sampled derivation runs its trial chunks on (not
+     * owned; nullptr runs them serially on the calling thread). Each
+     * trial's draws are keyed by its index and tallied as integer
+     * counts, so the predicates do not depend on it. Exact
+     * derivation ignores it.
+     */
+    runtime::ThreadPool *pool = nullptr;
 };
 
 /**
- * See file comment. Construction runs the reference program once,
+ * See file comment. Construction runs the reference program
  * instruction by instruction, recording a predicate per boundary
- * (boundary k is the state after the first k instructions); cost is
- * one measurement-resolved simulation plus one marginalisation per
- * recorded boundary and branch.
+ * (boundary k is the state after the first k instructions). Exact
+ * derivation costs one measurement-resolved simulation of the whole
+ * reference (the branch cap is checked to its end, so overflow does
+ * not depend on the recorded boundaries) plus one marginalisation per
+ * recorded boundary and branch. Sampled derivation costs one
+ * trajectory per trial, stopped at the last recorded boundary, plus
+ * one marginal and one draw per recorded (boundary, frame) and trial;
+ * the trials run in fixed-size chunks on OracleOptions::pool.
  */
 class PredicateOracle
 {
@@ -270,7 +289,7 @@ class PredicateOracle
                       const std::vector<std::size_t> &sortedBoundaries,
                       bool allBoundaries,
                       const std::vector<Frame> &frames,
-                      std::size_t trials);
+                      std::size_t trials, runtime::ThreadPool *pool);
 };
 
 /**

@@ -13,7 +13,12 @@
  * semiclassical QPE whose 8192 outcome histories overflow the 4096
  * branch cap — throws a catchable DeriveError in exact mode and
  * localizes in Auto mode (sampled fallback) to a bracket containing
- * the defect, in fewer probes than a linear scan.
+ * the defect, in fewer probes than a linear scan; (5) the derivation
+ * shortcuts change no count: a lazy single-boundary oracle (whose
+ * trajectories stop at its boundary) equals the all-boundary oracle
+ * there, trial chunks run on 1, 2 or 4 threads tally the same counts,
+ * and an Auto search resolves the mode once (one fallback) yet
+ * matches a Sampled search probe for probe.
  */
 
 #include <gtest/gtest.h>
@@ -28,6 +33,7 @@
 #include "locate/locate.hh"
 #include "locate/predicates.hh"
 #include "obs/obs.hh"
+#include "runtime/pool.hh"
 
 namespace
 {
@@ -251,6 +257,43 @@ densify(const BoundaryPredicate &pred, unsigned width)
     return probs;
 }
 
+/** Every recorded predicate of `b` equals `a`'s at the same key. */
+void
+expectSamePredicates(const PredicateOracle &a, const PredicateOracle &b,
+                     const std::string &what)
+{
+    ASSERT_EQ(a.entries().size(), b.entries().size()) << what;
+    for (const auto &[key, pred] : a.entries()) {
+        const BoundaryPredicate &other = b.at(key.first, key.second);
+        EXPECT_EQ(pred.referenceCounts, other.referenceCounts)
+            << what << ": boundary " << key.first << " frame "
+            << frameName(key.second);
+        EXPECT_EQ(pred.expectedProbs, other.expectedProbs) << what;
+        EXPECT_EQ(pred.referenceTrials, other.referenceTrials) << what;
+    }
+}
+
+/** Probe records equal field for field (p-values bit for bit). */
+void
+expectSameProbes(const LocalizationReport &a,
+                 const LocalizationReport &b, const std::string &what)
+{
+    EXPECT_EQ(a.bugFound, b.bugFound) << what;
+    EXPECT_EQ(a.lastPassing, b.lastPassing) << what;
+    EXPECT_EQ(a.firstFailing, b.firstFailing) << what;
+    EXPECT_EQ(a.totalMeasurements, b.totalMeasurements) << what;
+    ASSERT_EQ(a.probes.size(), b.probes.size()) << what;
+    for (std::size_t i = 0; i < a.probes.size(); ++i) {
+        EXPECT_EQ(a.probes[i].family, b.probes[i].family) << what;
+        EXPECT_EQ(a.probes[i].boundary, b.probes[i].boundary) << what;
+        EXPECT_EQ(a.probes[i].failed, b.probes[i].failed) << what;
+        EXPECT_EQ(a.probes[i].pValue, b.probes[i].pValue)
+            << what << ": probe " << i;
+        EXPECT_EQ(a.probes[i].ensembleSize, b.probes[i].ensembleSize)
+            << what;
+    }
+}
+
 // --- Sampled-vs-exact marginal agreement ------------------------------------
 
 TEST(SampledOracle, MarginalsAgreeWithExactWithinConfidenceInterval)
@@ -452,33 +495,131 @@ TEST(WideMeasurement, AdaptiveUsesFewerProbesThanLinearScan)
 
 TEST(WideMeasurement, ThreadCountInvariant)
 {
-    // The sampled derivation is a single serial trajectory loop and
-    // every ensemble trial keys its stream by trial index: the whole
+    // The sampled derivation runs its trial chunks on the prober's
+    // pool and keys every draw by trial index, and every ensemble
+    // trial keys its stream by trial index too: the whole
     // localization — probed boundaries, ensemble sizes, p-values —
-    // is bit-identical at 1, 4, and auto threads.
+    // is bit-identical at 1, 2, 4, and auto threads, for the mirror
+    // search (eager and lazy single-boundary oracles) and the rotated
+    // search (three-frame lazy oracles).
     const Fixture fx = wideQpeFixture();
-
-    std::vector<LocalizationReport> reports;
-    for (unsigned threads : {1u, 4u, 0u}) {
-        const BugLocator locator(
-            fx.suspect, fx.reference,
-            sampledConfig(OracleMode::Sampled,
-                          Strategy::AdaptiveBinarySearch, threads));
-        reports.push_back(locator.locate());
-    }
-    const auto &a = reports.front();
-    for (std::size_t r = 1; r < reports.size(); ++r) {
-        const auto &b = reports[r];
-        EXPECT_EQ(a.lastPassing, b.lastPassing);
-        EXPECT_EQ(a.firstFailing, b.firstFailing);
-        ASSERT_EQ(a.probes.size(), b.probes.size());
-        for (std::size_t i = 0; i < a.probes.size(); ++i) {
-            EXPECT_EQ(a.probes[i].boundary, b.probes[i].boundary);
-            EXPECT_EQ(a.probes[i].ensembleSize,
-                      b.probes[i].ensembleSize);
-            EXPECT_EQ(a.probes[i].pValue, b.probes[i].pValue);
-            EXPECT_EQ(a.probes[i].failed, b.probes[i].failed);
+    const QubitRegister anc = fx.reference.reg("anc");
+    for (bool rotated : {false, true}) {
+        const auto run = [&](unsigned threads) {
+            LocateConfig cfg =
+                sampledConfig(OracleMode::Sampled,
+                              Strategy::AdaptiveBinarySearch, threads);
+            if (rotated)
+                cfg.family = ProbeFamily::RotatedMarginal;
+            const BugLocator locator(fx.suspect, fx.reference, cfg);
+            return rotated ? locator.locateByPredicates(anc)
+                           : locator.locate();
+        };
+        const LocalizationReport one = run(1);
+        EXPECT_FALSE(one.probes.empty());
+        for (unsigned threads : {2u, 4u, 0u}) {
+            expectSameProbes(one, run(threads),
+                             std::string(rotated ? "rotated" : "mirror") +
+                                 " at " + std::to_string(threads) +
+                                 " threads");
         }
+    }
+}
+
+// --- Derivation shortcuts change no count ----------------------------------
+
+TEST(SampledOracle, LazySingleBoundaryOracleMatchesAllBoundaryOracle)
+{
+    // A single-boundary oracle walks its trials only up to that
+    // boundary; draws are keyed by (boundary, frame, trial) and
+    // trajectories by trial, so its counts must equal the
+    // all-boundary oracle's at that boundary, in every frame.
+    const Fixture fx = wideQpeFixture();
+    const std::vector<Frame> frames{Frame::Z, Frame::X, Frame::Y};
+    OracleOptions opts;
+    opts.mode = OracleMode::Sampled;
+    for (const char *reg_name : {"anc", "sys"}) {
+        const QubitRegister reg = fx.reference.reg(reg_name);
+        const PredicateOracle all(fx.reference, reg, 0x51c0ffee,
+                                  nullptr, frames, opts);
+        const std::size_t last = fx.reference.size();
+        for (std::size_t b :
+             {std::size_t{0}, std::size_t{7}, last / 2, last}) {
+            const std::vector<std::size_t> one{b};
+            const PredicateOracle lazy(fx.reference, reg, 0x51c0ffee,
+                                       &one, frames, opts);
+            ASSERT_TRUE(lazy.sampled());
+            ASSERT_EQ(lazy.entries().size(), frames.size());
+            for (Frame frame : frames) {
+                EXPECT_EQ(lazy.at(b, frame).referenceCounts,
+                          all.at(b, frame).referenceCounts)
+                    << reg_name << " boundary " << b << " frame "
+                    << frameName(frame);
+            }
+        }
+    }
+}
+
+TEST(SampledOracle, CountsAreThreadCountInvariant)
+{
+    // A serial derivation against 1-, 2- and 4-thread pools, with a
+    // budget that leaves the last trial chunk partial.
+    const Fixture fx = wideQpeFixture();
+    const std::vector<Frame> frames{Frame::Z, Frame::X, Frame::Y};
+    OracleOptions opts;
+    opts.mode = OracleMode::Sampled;
+    opts.sampleTrials = 3001;
+    const QubitRegister anc = fx.reference.reg("anc");
+    const PredicateOracle serial(fx.reference, anc, 0x5eed, nullptr,
+                                 frames, opts);
+    for (unsigned threads : {1u, 2u, 4u}) {
+        runtime::ThreadPool pool(threads);
+        opts.pool = &pool;
+        const PredicateOracle pooled(fx.reference, anc, 0x5eed,
+                                     nullptr, frames, opts);
+        expectSamePredicates(serial, pooled,
+                             std::to_string(threads) + " threads");
+    }
+}
+
+TEST(WideMeasurement, AutoResolvesOnceAndMatchesSampledProbeForProbe)
+{
+    // Past the branch cap an Auto search derives exactly what a
+    // Sampled one does, and pays the overflowing exact walk once: the
+    // first derivation resolves the mode for every later oracle of
+    // the search (eager and lazy mirror oracles; lazy rotated ones).
+    const Fixture fx = wideQpeFixture();
+    const QubitRegister anc = fx.reference.reg("anc");
+    for (bool rotated : {false, true}) {
+        const auto run = [&](OracleMode mode) {
+            LocateConfig cfg = sampledConfig(mode);
+            if (rotated)
+                cfg.family = ProbeFamily::RotatedMarginal;
+            const BugLocator locator(fx.suspect, fx.reference, cfg);
+            return rotated ? locator.locateByPredicates(anc)
+                           : locator.locate();
+        };
+        const std::string what = rotated ? "rotated" : "mirror";
+        const LocalizationReport sampled = run(OracleMode::Sampled);
+#if QSA_OBS_ENABLED
+        const std::int64_t fallbacks0 =
+            counterValue("locate.oracle.sampled_fallbacks");
+        const std::int64_t derivations0 =
+            counterValue("locate.oracle.sampled_derivations");
+#endif
+        const LocalizationReport autoMode = run(OracleMode::Auto);
+#if QSA_OBS_ENABLED
+        EXPECT_EQ(counterValue("locate.oracle.sampled_fallbacks") -
+                      fallbacks0,
+                  1)
+            << what;
+        EXPECT_GT(counterValue("locate.oracle.sampled_derivations") -
+                      derivations0,
+                  1)
+            << what << ": the search built no lazy oracle";
+#endif
+        EXPECT_FALSE(sampled.probes.empty()) << what;
+        expectSameProbes(sampled, autoMode, what);
     }
 }
 
